@@ -86,7 +86,7 @@ func benchServeBatchVsPoint(b *testing.B, extra ...serve.Option) {
 	for i := range keys {
 		keys[i] = uint64(mix.Next()) * 2
 	}
-	s.GoBatch(ctx, keys).Wait() // warm slot pools and shard scratch
+	s.GoBatch(ctx, keys).Wait() // warm frame slots and shard scratch
 	futs := make([]*serve.Future, batchN)
 
 	var pointNS, batchNS time.Duration
@@ -120,8 +120,8 @@ func benchServeBatchVsPoint(b *testing.B, extra ...serve.Option) {
 // codes, the scale of the BenchmarkNative* searches), with short ranges
 // so the lower-bound seek — the paper's dependent-miss binary search —
 // dominates and the sequential scan tail stays small. The interleaved
-// path drains native.RangeCursor frames through the same slot-recycled
-// Drainer the serve shards use; the bar is interleaved beating
+// path drains native.RangeCursor frames through the same by-value
+// coro.Slots array the serve shards use; the bar is interleaved beating
 // sequential (coroSpeedup > 1) at the serving steady state (a fixed
 // batch-sized query set over the huge column, per the native-bench
 // methodology — on fully TLB-cold virtualized hosts both kernels
@@ -178,15 +178,13 @@ func BenchmarkNativeRangeSeek(b *testing.B) {
 		b.ReportMetric(perSeq, "ns/range")
 	})
 	b.Run("interleaved", func(b *testing.B) {
-		d := coro.NewDrainer[int](group)
-		pool := coro.NewSlotPool(func(c *native.RangeCursor) func() (int, bool) { return c.Step })
+		slots := coro.NewSlots[native.RangeCursor, int](group)
 		run := func() {
 			reset()
-			d.DrainSlots(queries, group,
-				func(slot, q int) coro.Handle[int] {
-					c, h := pool.Slot(slot)
+			slots.Drain(queries, group,
+				func(c *native.RangeCursor, q int) bool {
 					*c = native.StartRangeScan(table, codes, los[q], his[q], 0, &outs[q])
-					return h
+					return true
 				},
 				func(int, int) {})
 		}

@@ -346,8 +346,17 @@ func (r *Remote) Stats() Stats {
 	}
 }
 
+// pick returns the next live connection round-robin; a connection whose
+// stream died leaves the rotation. With every connection dead it returns
+// one anyway, which refuses the call (see register).
 func (r *Remote) pick() *cconn {
-	return r.conns[int(r.rr.Add(1))%len(r.conns)]
+	start := int(r.rr.Add(1))
+	for i := range r.conns {
+		if c := r.conns[(start+i)%len(r.conns)]; !c.dead.Load() {
+			return c
+		}
+	}
+	return r.conns[start%len(r.conns)]
 }
 
 // readFlags returns the request-header flags for read frames
@@ -640,6 +649,10 @@ type cconn struct {
 
 	pmu     sync.Mutex
 	pending map[uint64]*call
+	// dead latches once the read loop has failed the pending set: the
+	// stream is gone, so register refuses every later call. Written under
+	// pmu; read without it by pick.
+	dead atomic.Bool
 	// waiters are Quiesce registrations: channels closed (and cleared)
 	// whenever the pending set drains to empty. Guarded by pmu.
 	waiters []chan struct{}
@@ -671,9 +684,18 @@ func (c *cconn) notifyDrained() {
 	c.waiters = nil
 }
 
+// register records cl as in flight and returns its request id. On a
+// dead connection no response can ever arrive, so it fails cl with
+// serve.ErrClosed at once and returns 0, an id sendOrFail never ships.
 func (c *cconn) register(cl *call) uint64 {
 	id := c.seq.Add(1)
 	c.pmu.Lock()
+	if c.dead.Load() {
+		c.pmu.Unlock()
+		cl.failAll(serve.ErrClosed)
+		c.r.shed.Add(uint64(cl.n))
+		return 0
+	}
 	c.pending[id] = cl
 	c.pmu.Unlock()
 	return id
@@ -714,6 +736,9 @@ func (c *cconn) writeFrame(t wire.MsgType, payload []byte) error {
 // sendOrFail ships one registered request frame; a write failure
 // unregisters and fails the call immediately.
 func (c *cconn) sendOrFail(cl *call, id uint64, t wire.MsgType, payload []byte) {
+	if id == 0 {
+		return // refused by register
+	}
 	if err := c.writeFrame(t, payload); err != nil {
 		if taken := c.take(id); taken != nil {
 			taken.failAll(serve.ErrClosed)
@@ -741,8 +766,12 @@ func (c *cconn) readLoop() {
 	}
 }
 
+// failPending marks the connection dead and fails every in-flight call
+// with serve.ErrClosed. The latch and the drain share pmu, so a racing
+// register either lands in the drained set or is refused.
 func (c *cconn) failPending() {
 	c.pmu.Lock()
+	c.dead.Store(true)
 	calls := make([]*call, 0, len(c.pending))
 	for id, cl := range c.pending {
 		calls = append(calls, cl)

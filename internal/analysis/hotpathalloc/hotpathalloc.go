@@ -125,7 +125,7 @@ func checkCall(pkg *isivet.Package, call *ast.CallExpr, report func(token.Pos, s
 
 	// Conversion to an interface type boxes its operand.
 	if tv, ok := info.Types[fun]; ok && tv.IsType() {
-		if types.IsInterface(tv.Type) && len(call.Args) == 1 {
+		if boxes(tv.Type) && len(call.Args) == 1 {
 			if at := info.TypeOf(call.Args[0]); at != nil && concrete(at) {
 				report(call.Pos(), "conversion boxes %s into interface %s", at, tv.Type)
 			}
@@ -156,13 +156,24 @@ func checkCall(pkg *isivet.Package, call *ast.CallExpr, report func(token.Pos, s
 		case i < params.Len():
 			pt = params.At(i).Type()
 		}
-		if pt == nil || !types.IsInterface(pt) {
+		if pt == nil || !boxes(pt) {
 			continue
 		}
 		if at := info.TypeOf(arg); at != nil && concrete(at) {
 			report(arg.Pos(), "argument boxes %s into interface %s", at, pt)
 		}
 	}
+}
+
+// boxes reports whether assigning a concrete value to type t boxes it:
+// t is an interface, not a type parameter. go/types reports a type
+// parameter as an interface (its constraint), but a value converted to
+// one keeps its own representation in the instantiation.
+func boxes(t types.Type) bool {
+	if _, ok := t.(*types.TypeParam); ok {
+		return false
+	}
+	return types.IsInterface(t)
 }
 
 // concrete reports whether a value of type t would be boxed when

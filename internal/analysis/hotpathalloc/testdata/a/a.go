@@ -58,6 +58,21 @@ func variadic(vs ...any)   { _ = vs }
 
 var prebuilt = []any{1, 2}
 
+type stepper interface{ Step() int }
+
+// typeParams: converting to, or passing as, a type parameter keeps the
+// value's own representation — no boxing, even though go/types reports
+// the parameter's constraint as an interface.
+//
+//isi:hotpath
+func typeParams[F any, P interface {
+	*F
+	stepper
+}](frames []F, use func(P)) int {
+	use(&frames[0])
+	return P(&frames[0]).Step()
+}
+
 // formatting flags fmt and run-time string concatenation.
 //
 //isi:hotpath

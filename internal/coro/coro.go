@@ -20,6 +20,13 @@
 //     interleaving cannot hide cache misses (see internal/native and the
 //     coroutine-backend ablation).
 //
+// The Listing 7 schedulers (sched.go) drive any of them through Handle.
+// Long-lived drains — the serving shards of internal/serve and the
+// slot-recycling native kernels — use Slots (slots.go) instead: the
+// Frame idea without the Handle, a reusable array of frame structs kept
+// by value and stepped with one method call per resume, each finished
+// slot refilled in the round it finishes.
+//
 // Simulated-time experiments charge switch overhead explicitly through the
 // engine, so all backends produce identical simulated results; the backend
 // choice matters for real (wall-clock) executions.

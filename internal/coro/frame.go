@@ -4,8 +4,10 @@ package coro
 // by hand: the step function holds all live state in its closure (the
 // "coroutine frame") and returns (result, done) per resume. This is what
 // the C++ compiler generates from a coroutine body — and what a programmer
-// writes by hand for AMAC — so Frame is the cheapest backend: a resume is
-// a single indirect call.
+// writes by hand for AMAC — so Frame is the cheapest Handle backend.
+// Behind the Handle interface a resume still costs three indirect calls
+// (Done, Resume, and the step closure); Slots drives frame structs by
+// value with one Step method call per resume instead.
 type Frame[R any] struct {
 	step   func() (R, bool)
 	result R
@@ -48,19 +50,6 @@ func (f *Frame[R]) Result() R { return f.result }
 func (f *Frame[R]) Reset(step func() (R, bool)) {
 	var zero R
 	f.step = step
-	f.result = zero
-	f.done = false
-}
-
-// Rearm clears completion state while keeping the existing step function
-// — for callers that reset the step's underlying frame struct in place
-// (slot-recycled frames under Drainer.DrainSlots). Unlike Reset, Rearm
-// allocates nothing: the step closure, bound once to the recycled
-// struct, is reused as-is.
-//
-//isi:hotpath
-func (f *Frame[R]) Rearm() {
-	var zero R
 	f.result = zero
 	f.done = false
 }

@@ -31,18 +31,17 @@ func RunInterleaved[R any](n, group int, start func(i int) Handle[R], sink func(
 
 // RunInterleavedSlots is RunInterleaved with slot-aware starts: start
 // receives the scheduler slot (in [0, group)) the lookup will occupy in
-// addition to its input index. A lookup's live state can therefore be
-// recycled per slot — reset a per-slot frame struct in place and Rearm
-// its coro.Frame — instead of allocated per lookup, which matters for
-// short coroutines (hash-probe chains) whose per-lookup setup would
-// otherwise rival the interleaving gain.
+// addition to its input index, so a lookup's live state can be kept per
+// slot — a per-slot frame struct reset in place behind a per-slot
+// coro.Frame (Frame.Reset with the slot's bound step) — instead of
+// allocated per lookup. Serving drains use Slots instead, which keeps
+// the frames themselves by value and skips the Handle indirection.
 //
 // start may return nil to decline an input: the scheduler skips it —
 // no slot is occupied, no resume happens, and sink is never called for
-// that index — and immediately offers the slot the next pending input.
-// This is how a serving shard drops context-cancelled requests from a
-// mixed batch without restructuring it (internal/serve); the caller is
-// responsible for completing skipped inputs through its own channel.
+// that index — and immediately offers the slot the next pending input;
+// the caller is responsible for completing skipped inputs through its
+// own channel.
 func RunInterleavedSlots[R any](n, group int, start func(slot, i int) Handle[R], sink func(i int, r R)) {
 	if n <= 0 {
 		return
@@ -55,22 +54,11 @@ func RunInterleavedSlots[R any](n, group int, start func(slot, i int) Handle[R],
 		// rather than silently dropping all n lookups.
 		group = 1
 	}
-	drainInterleaved(make([]Handle[R], group), make([]int, group), n, start, sink)
-}
-
-// drainInterleaved is the scheduler core shared by RunInterleavedSlots
-// and Drainer: handles and owner must have equal length (the group size)
-// and are fully overwritten. A nil handle from start skips that input
-// (see RunInterleavedSlots); the slot keeps claiming pending inputs
-// until one starts or the input sequence is exhausted.
-//
-//isi:hotpath
-func drainInterleaved[R any](handles []Handle[R], owner []int, n int, start func(slot, i int) Handle[R], sink func(i int, r R)) {
-	group := len(handles)
+	handles := make([]Handle[R], group)
+	owner := make([]int, group)
 	next := 0
 	notDone := 0
 	for s := 0; s < group; s++ {
-		handles[s] = nil
 		for next < n {
 			h := start(s, next)
 			o := next

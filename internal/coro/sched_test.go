@@ -134,9 +134,10 @@ func TestRunInterleavedNonPositiveGroup(t *testing.T) {
 }
 
 // TestRunInterleavedSlotsRecycling drives the slot-recycling start path:
-// one frame struct per slot, reset in place and rearmed per lookup, must
-// deliver every result to its own index with zero fresh handles after
-// slot initialization.
+// one frame struct and step closure per slot, the struct reset in place
+// and the handle Reset to the slot's own step per lookup, must deliver
+// every result to its own index with zero fresh handles after slot
+// initialization.
 func TestRunInterleavedSlotsRecycling(t *testing.T) {
 	const n = 40
 	susp := func(i int) int { return (i * 7) % 5 }
@@ -150,6 +151,7 @@ func TestRunInterleavedSlotsRecycling(t *testing.T) {
 		}
 		frames := make([]slotFrame, effGroup)
 		handles := make([]*Frame[int], effGroup)
+		steps := make([]func() (int, bool), effGroup)
 		starts := make([]int, n)
 		got := map[int]int{}
 		RunInterleavedSlots(n, group,
@@ -162,16 +164,17 @@ func TestRunInterleavedSlotsRecycling(t *testing.T) {
 				*f = slotFrame{i: i, remaining: susp(i)}
 				h := handles[slot]
 				if h == nil {
-					h = NewFrame(func() (int, bool) {
+					steps[slot] = func() (int, bool) {
 						if f.remaining > 0 {
 							f.remaining--
 							return 0, false
 						}
 						return 100 + f.i, true
-					})
+					}
+					h = NewFrame(steps[slot])
 					handles[slot] = h
 				} else {
-					h.Rearm()
+					h.Reset(steps[slot])
 				}
 				return h
 			},
@@ -238,122 +241,5 @@ func TestRunInterleavedSlotsNilSkip(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestFrameRearm: a completed frame rearmed after its state struct is
-// reset must run the new lookup through the same step closure.
-func TestFrameRearm(t *testing.T) {
-	state := 2
-	h := NewFrame(func() (int, bool) {
-		if state > 0 {
-			state--
-			return 0, false
-		}
-		return 7, true
-	})
-	for !h.Done() {
-		h.Resume()
-	}
-	if h.Result() != 7 {
-		t.Fatalf("first run result = %d", h.Result())
-	}
-	state = 1
-	h.Rearm()
-	if h.Done() {
-		t.Fatal("rearmed frame still done")
-	}
-	for !h.Done() {
-		h.Resume()
-	}
-	if h.Result() != 7 {
-		t.Fatalf("second run result = %d", h.Result())
-	}
-}
-
-// TestDrainerReuse runs several batches of different sizes and group
-// sizes through one Drainer, including group growth beyond the initial
-// capacity and the degenerate n=0 / group<=0 cases.
-func TestDrainerReuse(t *testing.T) {
-	d := NewDrainer[int](2)
-	batches := []struct{ n, group int }{
-		{5, 2}, {3, 8}, {12, 4}, {1, 1}, {0, 3}, {7, 0}, {4, -2},
-	}
-	for _, b := range batches {
-		starts := make([]int, b.n)
-		got := map[int]int{}
-		d.Drain(b.n, b.group, countingStart(t, b.n, func(i int) int { return (i * 5) % 7 }, starts),
-			func(i, r int) {
-				if _, dup := got[i]; dup {
-					t.Fatalf("batch %+v: index %d delivered twice", b, i)
-				}
-				got[i] = r
-			})
-		checkDelivery(t, b.n, starts, got)
-	}
-}
-
-// TestSlotPoolRecyclesAcrossGroups drains batches of growing group size
-// through one SlotPool: handles must be created once per slot, survive
-// pool growth (structs are individually allocated, so bound closures
-// never go stale), and rearmed reuse must deliver correct results.
-func TestSlotPoolRecyclesAcrossGroups(t *testing.T) {
-	type probe struct {
-		i, remaining int
-	}
-	pool := NewSlotPool(func(f *probe) func() (int, bool) {
-		return func() (int, bool) {
-			if f.remaining > 0 {
-				f.remaining--
-				return 0, false
-			}
-			return 100 + f.i, true
-		}
-	})
-	seen := map[*Frame[int]]bool{}
-	d := NewDrainer[int](1)
-	for _, batch := range []struct{ n, group int }{{6, 2}, {9, 4}, {20, 16}, {5, 3}} {
-		got := map[int]int{}
-		d.DrainSlots(batch.n, batch.group,
-			func(slot, i int) Handle[int] {
-				f, h := pool.Slot(slot)
-				*f = probe{i: i, remaining: (i * 3) % 4}
-				seen[h] = true
-				return h
-			},
-			func(i, r int) { got[i] = r })
-		for i := 0; i < batch.n; i++ {
-			if got[i] != 100+i {
-				t.Fatalf("batch %+v: result[%d] = %d, want %d", batch, i, got[i], 100+i)
-			}
-		}
-	}
-	// 16 slots were ever needed, so exactly 16 distinct handles exist.
-	if len(seen) != 16 {
-		t.Fatalf("pool created %d handles, want 16", len(seen))
-	}
-}
-
-// TestDrainerDrainSlots mirrors TestDrainerReuse through the slot-aware
-// entry point, asserting slot indices stay within the effective group.
-func TestDrainerDrainSlots(t *testing.T) {
-	d := NewDrainer[int](2)
-	batches := []struct{ n, group int }{
-		{5, 2}, {3, 8}, {12, 4}, {0, 3}, {7, 0},
-	}
-	for _, b := range batches {
-		eff := min(max(b.group, 1), max(b.n, 1))
-		starts := make([]int, b.n)
-		got := map[int]int{}
-		inner := countingStart(t, b.n, func(i int) int { return (i * 5) % 7 }, starts)
-		d.DrainSlots(b.n, b.group,
-			func(slot, i int) Handle[int] {
-				if slot < 0 || slot >= eff {
-					t.Fatalf("batch %+v: slot %d out of range [0,%d)", b, slot, eff)
-				}
-				return inner(i)
-			},
-			func(i, r int) { got[i] = r })
-		checkDelivery(t, b.n, starts, got)
 	}
 }

@@ -57,7 +57,7 @@ func TestRangeSeekScanVsBrute(t *testing.T) {
 }
 
 // TestRangeCursorMatchesSequential drives the interleaved cursor — both
-// standalone and through the Drainer at several group sizes — and
+// standalone and through coro.Slots at several group sizes — and
 // asserts it emits exactly what the sequential kernel does.
 func TestRangeCursorMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
@@ -86,14 +86,11 @@ func TestRangeCursorMatchesSequential(t *testing.T) {
 	}
 	for _, group := range []int{1, 2, 6, 16, 64, 100} {
 		got := make([][]Pair, len(queries))
-		d := coro.NewDrainer[int](group)
-		pool := coro.NewSlotPool(func(c *RangeCursor) func() (int, bool) { return c.Step })
 		counts := make([]int, len(queries))
-		d.DrainSlots(len(queries), group,
-			func(slot, i int) coro.Handle[int] {
-				c, h := pool.Slot(slot)
+		coro.NewSlots[RangeCursor, int](group).Drain(len(queries), group,
+			func(c *RangeCursor, i int) bool {
 				*c = StartRangeScan(table, codes, queries[i].lo, queries[i].hi, queries[i].limit, &got[i])
-				return h
+				return true
 			},
 			func(i, emitted int) { counts[i] = emitted })
 		for i := range queries {

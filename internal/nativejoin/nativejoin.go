@@ -198,7 +198,7 @@ type frameProbe struct {
 }
 
 //isi:hotpath
-func (f *frameProbe) step() (Result, bool) {
+func (f *frameProbe) Step() (Result, bool) {
 	if !f.started {
 		f.cur = f.t.Start(f.key)
 		f.started = true
@@ -210,7 +210,7 @@ func (f *frameProbe) step() (Result, bool) {
 // ProbeFrame builds the frame-backed probe coroutine handle.
 func (t *Table) ProbeFrame(key uint64) *coro.Frame[Result] {
 	f := &frameProbe{t: t, key: key}
-	return coro.NewFrame(f.step)
+	return coro.NewFrame(f.Step)
 }
 
 // RunCoro interleaves the probes with frame coroutines under the
@@ -221,19 +221,18 @@ func (t *Table) RunCoro(keys []uint64, group int, out []Result) {
 		func(i int, r Result) { out[i] = r })
 }
 
-// RunCoroReuse interleaves the probes with frame coroutines recycled per
-// scheduler slot: one frame struct and one handle per slot, reset in
-// place for each probe. Probe chains are short (a handful of suspension
-// rounds), so the per-probe allocations of RunCoro — frame struct,
-// bound method value, handle — rival the interleaving gain; recycling
-// removes them. This is the kernel internal/serve drains through.
+// RunCoroReuse interleaves the probes with frame coroutines kept by
+// value in a coro.Slots array: one frame struct per slot, reset in place
+// for each probe and stepped with one method call per resume. Probe
+// chains are short (a handful of suspension rounds), so the per-probe
+// allocations of RunCoro — frame struct, bound method value, handle —
+// and its Handle indirection rival the interleaving gain; the slot array
+// removes both. This is the scheduler internal/serve drains through.
 func (t *Table) RunCoroReuse(keys []uint64, group int, out []Result) {
-	pool := coro.NewSlotPool(func(f *frameProbe) func() (Result, bool) { return f.step })
-	coro.RunInterleavedSlots(len(keys), group,
-		func(slot, i int) coro.Handle[Result] {
-			f, h := pool.Slot(slot)
+	coro.NewSlots[frameProbe, Result](group).Drain(len(keys), group,
+		func(f *frameProbe, i int) bool {
 			*f = frameProbe{t: t, key: keys[i]}
-			return h
+			return true
 		},
 		func(i int, r Result) { out[i] = r })
 }

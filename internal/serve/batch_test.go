@@ -222,7 +222,7 @@ func TestGoBatchAllocsO1(t *testing.T) {
 	}
 	defer s.Close()
 	ctx := context.Background()
-	// Warm the per-shard slot pools and scratch so steady state is measured.
+	// Warm the per-shard frame slots and scratch so steady state is measured.
 	warm := make([]uint64, 1<<12)
 	for i := range warm {
 		warm[i] = uint64(i)

@@ -30,8 +30,10 @@ import (
 // on a service whose dictionary mutates, joins stay consistent with
 // lookups because both go through the same delta-then-main composite.
 // Chains diverge per key, so batch streams fall out of lockstep; the
-// round-robin Drainer absorbs that, which is exactly the decoupled-
-// control-flow case the paper builds coroutines for.
+// round-robin coro.Slots scheduler absorbs that — stepping each frame
+// in place in its by-value slot array and refilling a finished slot in
+// the round it finishes — which is exactly the decoupled-control-flow
+// case the paper builds coroutines for.
 
 // BuildTuple is one build-side row: a join key from the value domain and
 // an opaque payload aggregated by probes.
@@ -68,10 +70,9 @@ type joinOut struct {
 // joinFrame is the composite coroutine frame: delta probe, dictionary
 // binary search, and hash-table chain walk, all live state hand-spilled
 // into one flat struct (see internal/native's frameLookup for why
-// closures won't do). Frames are recycled per scheduler slot — init
-// resets the struct in place, the bound step closure and coro.Frame are
-// reused — so a shard drains an unbounded request sequence with no
-// per-request allocation.
+// closures won't do). Frames live by value in the shard's coro.Slots
+// array and init resets one in place per key, so a shard drains an
+// unbounded request sequence with no per-request allocation.
 type joinFrame struct {
 	idx  *nativeJoinIndex
 	key  uint64
@@ -126,7 +127,7 @@ func (f *joinFrame) init(x *nativeJoinIndex, dv deltaView, key uint64, join bool
 }
 
 //isi:hotpath
-func (f *joinFrame) step() (joinOut, bool) {
+func (f *joinFrame) Step() (joinOut, bool) {
 	switch f.stage {
 	case 0:
 		low, done := f.search.Step()
@@ -166,16 +167,15 @@ func (f *joinFrame) step() (joinOut, bool) {
 
 // nativeJoinIndex is a shard's join backend: the dictionary partition
 // (sorted values + global codes, as nativeIndex) plus the build-side
-// hash-table partition, drained together through slot-recycled composite
-// frames. The cost unit is wall nanoseconds.
+// hash-table partition, drained together through composite frames. The
+// cost unit is wall nanoseconds.
 type nativeJoinIndex struct {
 	table []uint64
 	codes []uint32
 	jt    *nativejoin.Table
-	d     *coro.Drainer[joinOut]
-	// pool recycles one composite frame and handle per scheduler slot
-	// across every batch the shard ever drains.
-	pool *coro.SlotPool[joinFrame, joinOut]
+	// slots holds the composite frames by value, reused across every
+	// batch the shard ever drains.
+	slots *coro.Slots[joinFrame, joinOut, *joinFrame]
 	// rs drains OpRange scans over the dictionary column (ranges are a
 	// dictionary operation; the build side is keyed by code and plays no
 	// part in them).
@@ -187,8 +187,7 @@ func newNativeJoinIndex(cfg Config, vals []uint64, codes []uint32, jt *nativejoi
 		table: vals,
 		codes: codes,
 		jt:    jt,
-		d:     coro.NewDrainer[joinOut](cfg.MaxGroup),
-		pool:  coro.NewSlotPool(func(f *joinFrame) func() (joinOut, bool) { return f.step }),
+		slots: coro.NewSlots[joinFrame, joinOut](cfg.MaxGroup),
 		rs:    newRangeScanner(cfg),
 	}
 }
@@ -200,32 +199,32 @@ func (x *nativeJoinIndex) scanRanges(ops []Op, limits []int, group int, pairs []
 
 // rebuild constructs the next-epoch join backend over the merged
 // dictionary column. The build-side table is keyed by code, which writes
-// edit only through the dictionary mapping, so the table, drainer, and
-// slot pool carry over — a join install is a pointer swap.
+// edit only through the dictionary mapping, so the table and the frame
+// slots carry over — a join install is a pointer swap.
 func (x *nativeJoinIndex) rebuild(vals []uint64, codes []uint32) *nativeJoinIndex {
-	return &nativeJoinIndex{table: vals, codes: codes, jt: x.jt, d: x.d, pool: x.pool, rs: x.rs}
+	return &nativeJoinIndex{table: vals, codes: codes, jt: x.jt, slots: x.slots, rs: x.rs}
 }
 
 // drainBatch resolves one point sub-batch of mixed lookup/join futures
 // against the given delta view and completes their result fields (not
 // their done channels — the shard closes those after recording latency).
-// Futures pre-marked dropped are skipped through the scheduler's
-// nil-start contract: they never occupy a slot and are never probed.
+// Futures pre-marked dropped are skipped through the scheduler's skip
+// contract (start returns false): they never occupy a slot and are never
+// probed.
 // Returns the batch cost in nanoseconds for the controller.
 //
 //isi:hotpath
 func (x *nativeJoinIndex) drainBatch(dv deltaView, sub []*Future, group int) float64 {
 	t0 := time.Now()
-	x.d.DrainSlots(len(sub), group,
+	x.slots.Drain(len(sub), group,
 		//isi:allow-alloc(two closures per batch over the batch's columns; O(1) per batch, not per key)
-		func(slot, i int) coro.Handle[joinOut] {
+		func(fr *joinFrame, i int) bool {
 			f := sub[i]
 			if f.dropped {
-				return nil
+				return false
 			}
-			fr, h := x.pool.Slot(slot)
 			fr.init(x, dv, f.op.Key, f.op.Kind == OpJoin, nil, i)
-			return h
+			return true
 		},
 		//isi:allow-alloc(see the start closure above)
 		func(i int, r joinOut) {
@@ -253,12 +252,11 @@ func (x *nativeJoinIndex) drainSegment(dv deltaView, bf *BatchFuture, shardID, l
 		msink = &bf.matches[shardID]
 	}
 	keys := bf.keys[lo:hi]
-	x.d.DrainSlots(len(keys), group,
+	x.slots.Drain(len(keys), group,
 		//isi:allow-alloc(two closures per batch over the batch's columns; O(1) per batch, not per key)
-		func(slot, i int) coro.Handle[joinOut] {
-			fr, h := x.pool.Slot(slot)
+		func(fr *joinFrame, i int) bool {
 			fr.init(x, dv, keys[i], join, msink, lo+i)
-			return h
+			return true
 		},
 		//isi:allow-alloc(see the start closure above)
 		func(i int, r joinOut) {

@@ -39,8 +39,8 @@
 //
 // Either way, requests are hash-partitioned across per-core shards
 // (vectorized batches are partitioned in place) and drained through the
-// coroutine-interleaved kernels (coro.Drainer over internal/native frames
-// on real memory, or the memsim-backed dict.Main / csbtree kernels on the
+// coroutine-interleaved kernels (internal/native and internal/nativejoin
+// frames kept by value in a coro.Slots array on real memory, or the memsim-backed dict.Main / csbtree kernels on the
 // simulated hierarchy). Each shard's interleaving group size is tuned
 // online by a hill-climbing controller on measured per-batch cost,
 // instead of hard-coding the paper's group of 6: the optimal group shifts

@@ -97,7 +97,7 @@ type shardMsg struct {
 // limits[i] in-range (key, code) pairs in ascending key order to
 // pairs[i] (limits[i] <= 0 is unbounded) — the delta merge happens
 // outside, in mergeRange. rebuild constructs the next-epoch index over
-// a merged column, reusing the engine, drainer, and slot-pool resources
+// a merged column, reusing the engine and frame-slot resources
 // of the current one; it runs on the shard goroutine between batches
 // and its duration is the rebuild pause.
 type shardIndex interface {
@@ -447,20 +447,16 @@ func (sh *shard) drainRange(rf *RangeFuture, id uint64) {
 }
 
 // rangeScanner drains interleaved range scans over a real sorted column:
-// one slot-recycled native.RangeCursor per scheduler slot, seeks
+// native.RangeCursor frames kept by value in a coro.Slots array, seeks
 // suspending per early-load round, each scan completing in its final
 // resume. Shared by the lookup and join native backends (the scan side
 // is identical); carried across rebuilds like the other drain resources.
 type rangeScanner struct {
-	d    *coro.Drainer[int]
-	pool *coro.SlotPool[native.RangeCursor, int]
+	slots *coro.Slots[native.RangeCursor, int, *native.RangeCursor]
 }
 
 func newRangeScanner(cfg Config) *rangeScanner {
-	return &rangeScanner{
-		d:    coro.NewDrainer[int](cfg.MaxGroup),
-		pool: coro.NewSlotPool(func(c *native.RangeCursor) func() (int, bool) { return c.Step }),
-	}
+	return &rangeScanner{slots: coro.NewSlots[native.RangeCursor, int](cfg.MaxGroup)}
 }
 
 // scan fills pairs[i] with up to limits[i] snapshot entries of ops[i]'s
@@ -469,16 +465,15 @@ func newRangeScanner(cfg Config) *rangeScanner {
 //isi:hotpath
 func (rs *rangeScanner) scan(table []uint64, codes []uint32, ops []Op, limits []int, group int, pairs [][]native.Pair) float64 {
 	t0 := time.Now()
-	rs.d.DrainSlots(len(ops), group,
+	rs.slots.Drain(len(ops), group,
 		//isi:allow-alloc(two closures per batch over the batch's columns; O(1) per batch, not per range)
-		func(slot, i int) coro.Handle[int] {
+		func(c *native.RangeCursor, i int) bool {
 			op := ops[i]
 			if len(table) == 0 || op.Key > op.Hi {
-				return nil
+				return false
 			}
-			c, h := rs.pool.Slot(slot)
 			*c = native.StartRangeScan(table, codes, op.Key, op.Hi, limits[i], &pairs[i])
-			return h
+			return true
 		},
 		//isi:allow-alloc(see the start closure above)
 		func(int, int) {})
@@ -493,8 +488,7 @@ func newShardIndex(cfg Config, i int, vals []uint64, codes []uint32) (shardIndex
 		return &nativeIndex{
 			table: vals,
 			codes: codes,
-			d:     coro.NewDrainer[int](cfg.MaxGroup),
-			pool:  coro.NewSlotPool(func(c *native.SearchCursor) func() (int, bool) { return c.Step }),
+			slots: coro.NewSlots[native.SearchCursor, int](cfg.MaxGroup),
 			rs:    newRangeScanner(cfg),
 		}, nil
 	case SimMain:
@@ -522,17 +516,17 @@ func (e errUnknownKind) Error() string { return "serve: unknown index kind " + I
 
 // nativeIndex is the real-hardware backend: a sorted slice probed by the
 // frame-coroutine binary search of internal/native, drained through a
-// reusable coro.Drainer with one slot-recycled SearchCursor per
-// scheduler slot — the steady-state drain allocates nothing per key.
-// Delta-resolved keys complete at start time through the scheduler's
-// nil-start contract, so they never occupy a slot; everything else falls
-// through to the main search — the delta-then-main composite. The cost
-// unit is wall nanoseconds.
+// reusable coro.Slots array that keeps one SearchCursor per scheduler
+// slot by value and steps it in place — the steady-state drain allocates
+// nothing per key and pays one method call per resume. Delta-resolved
+// keys complete at start time through the scheduler's skip contract
+// (start returns false), so they never occupy a slot; everything else
+// falls through to the main search — the delta-then-main composite. The
+// cost unit is wall nanoseconds.
 type nativeIndex struct {
 	table []uint64
 	codes []uint32
-	d     *coro.Drainer[int]
-	pool  *coro.SlotPool[native.SearchCursor, int]
+	slots *coro.Slots[native.SearchCursor, int, *native.SearchCursor]
 	rs    *rangeScanner
 }
 
@@ -545,9 +539,9 @@ func (x *nativeIndex) lookupBatch(dv deltaView, keys []uint64, group int, out []
 		}
 		return float64(time.Since(t0))
 	}
-	x.d.DrainSlots(len(keys), group,
+	x.slots.Drain(len(keys), group,
 		//isi:allow-alloc(two closures per batch over the batch's columns; O(1) per batch, not per key)
-		func(slot, i int) coro.Handle[int] {
+		func(c *native.SearchCursor, i int) bool {
 			if !dv.empty() {
 				if v, oc := dv.lookup(keys[i]); oc != deltaMiss {
 					if oc == deltaHit {
@@ -555,16 +549,15 @@ func (x *nativeIndex) lookupBatch(dv deltaView, keys []uint64, group int, out []
 					} else {
 						out[i] = Result{Code: NotFound}
 					}
-					return nil
+					return false
 				}
 			}
 			if len(x.table) == 0 {
 				out[i] = Result{Code: NotFound}
-				return nil
+				return false
 			}
-			c, h := x.pool.Slot(slot)
 			*c = native.StartSearch(x.table, keys[i])
-			return h
+			return true
 		},
 		//isi:allow-alloc(see the start closure above)
 		func(i, low int) {
@@ -583,9 +576,9 @@ func (x *nativeIndex) scanRanges(ops []Op, limits []int, group int, pairs [][]na
 }
 
 func (x *nativeIndex) rebuild(vals []uint64, codes []uint32, _ []writeEntry) shardIndex {
-	// The merged column is the index; the drainer and slot pool carry
-	// over, so a native install is a pointer swap — near-zero pause.
-	return &nativeIndex{table: vals, codes: codes, d: x.d, pool: x.pool, rs: x.rs}
+	// The merged column is the index; the frame slots carry over, so a
+	// native install is a pointer swap — near-zero pause.
+	return &nativeIndex{table: vals, codes: codes, slots: x.slots, rs: x.rs}
 }
 
 // resolveDelta answers the delta-resolved keys of a batch host-side (the
