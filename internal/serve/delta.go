@@ -219,6 +219,48 @@ func skipKeyRun(part []writeEntry, i int) int {
 	return i
 }
 
+// foldGens merges queued generations (oldest→newest) into one that reads
+// exactly like probing them newest-first, for every read horizon: unlike
+// flattenGens it keeps whole version chains, so a pinned reader still
+// falls through to an older version it can see. Each key's run is the
+// newer generations' runs followed by the older ones', cut after its
+// first plain write — every reader stops there, so the rest is dead.
+func foldGens(gens [][]writeEntry) []writeEntry {
+	acc := gens[0]
+	for _, g := range gens[1:] {
+		acc = foldOver(g, acc)
+	}
+	return acc
+}
+
+// foldOver merges one newer generation over an older one for foldGens.
+func foldOver(newer, older []writeEntry) []writeEntry {
+	out := make([]writeEntry, 0, len(newer)+len(older))
+	i, j := 0, 0
+	for i < len(newer) || j < len(older) {
+		var key uint64
+		if j == len(older) || (i < len(newer) && newer[i].key < older[j].key) {
+			key = newer[i].key
+		} else {
+			key = older[j].key
+		}
+		shadowed := false
+		for ; i < len(newer) && newer[i].key == key; i++ {
+			if !shadowed {
+				out = append(out, newer[i])
+				shadowed = newer[i].seq == 0
+			}
+		}
+		for ; j < len(older) && older[j].key == key; j++ {
+			if !shadowed {
+				out = append(out, older[j])
+				shadowed = older[j].seq == 0
+			}
+		}
+	}
+	return out
+}
+
 // columns splits a flattened generation batch into the parallel slices
 // the bulk-merge entry points (native.MergeSorted, csbtree.BulkMerge)
 // consume. The input must be duplicate-free (flattenGens output).

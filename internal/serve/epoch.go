@@ -17,7 +17,10 @@ import (
 // committed prefix into a new generation and keeps writing. If the
 // background merge is idle it picks up every frozen generation at once;
 // if one is already in flight the generation simply queues behind it —
-// writes never park. The manager bulk-merges the flattened generations
+// writes never park, and a queue that grows past genQueueDepth is
+// relieved by the writer itself (relieveBacklog), so neither the queue's
+// length nor the first install depends on when the manager goroutine
+// gets a CPU. The manager bulk-merges the flattened generations
 // into the shard's dictionary column off the hot path (native.MergeSorted
 // — pure host CPU, no shared mutable state) and parks the merged column
 // in the shard's pending slot. The shard installs it between batches: it
@@ -39,21 +42,21 @@ import (
 // shard keeps beyond the current one before pin-aware trimming.
 const epochRetain = 4
 
-// maxGenBacklog is the degraded-mode fence: freezing a generation while
-// this many are already queued behind an in-flight merge means the
-// background manager has fallen far behind the write rate. The write
-// still proceeds (nothing parks); the event only increments the
-// WriteStalls counter so operators see the backlog.
+// maxGenBacklog is the degraded-mode fence: a shard holding more frozen
+// generations than this while a merge is in flight means the backlog
+// bound broke. The write still proceeds (nothing parks); the event only
+// increments the WriteStalls counter so operators see it. relieveBacklog
+// keeps the queue far below the fence (at most genQueueDepth+1 queued
+// behind an in-flight merge that itself covers at most that many), so a
+// tick is a bug, not load.
 const maxGenBacklog = 32
 
-// genDonateDepth is the backlog depth at which a freeze donates its
-// timeslice to the in-flight merge. Below it the write loop never
-// yields mid-merge (the donation would stretch write latency for a
-// merge that is keeping up anyway); above it the merge is losing the
-// race for the core — on a small GOMAXPROCS box a tight synchronous
-// write loop can starve the manager for a full preemption quantum per
-// freeze, piling generations toward the degraded fence.
-const genDonateDepth = 4
+// genQueueDepth is how many generations may queue behind an in-flight
+// merge before the writer relieves the backlog itself instead of
+// waiting for the epoch manager to be scheduled. Below it the write path
+// does no merge work; past it a tight write loop on a busy host would
+// otherwise keep freezing while the manager sits runnable without a CPU.
+const genQueueDepth = 4
 
 // epochState is one published snapshot: the merged dictionary column and
 // the backend index built over it. Immutable after publication; the
@@ -83,9 +86,10 @@ type epochState struct {
 }
 
 // rebuildJob is one batch of frozen generations awaiting merge, tagged
-// with the epoch snapshot it merges into.
+// with the epoch snapshot it merges into. It sits in its shard's job slot
+// until either the epoch manager or — relieving a backlog — the shard
+// itself takes it.
 type rebuildJob struct {
-	sh    *shard
 	seq   uint64
 	vals  []uint64
 	codes []uint32
@@ -111,17 +115,18 @@ type installMsg struct {
 
 // epochManager is the service-wide background rebuilder: one goroutine
 // draining rebuild jobs in arrival order, so concurrent shard rebuilds
-// serialize and background merge work is bounded to one core. Each shard
-// has at most one job outstanding (generations queue locally until the
-// in-flight merge installs), so a jobs buffer of Shards makes enqueue
-// non-blocking.
+// serialize and background merge work is bounded to one core. The jobs
+// channel carries shards, not jobs: a shard parks its job in its own
+// slot and sends itself only if no earlier send of it is still
+// unconsumed, so each shard has at most one entry queued and a buffer of
+// Shards makes the send non-blocking even when shards take jobs back.
 type epochManager struct {
-	jobs chan rebuildJob
+	jobs chan *shard
 	wg   sync.WaitGroup
 }
 
 func newEpochManager(shards int) *epochManager {
-	em := &epochManager{jobs: make(chan rebuildJob, shards)}
+	em := &epochManager{jobs: make(chan *shard, shards)}
 	em.wg.Add(1)
 	go em.run()
 	return em
@@ -129,25 +134,37 @@ func newEpochManager(shards int) *epochManager {
 
 func (em *epochManager) run() {
 	defer em.wg.Done()
-	for j := range em.jobs {
-		flat, upTo := flattenGens(j.gens)
-		keys, vals, del := deltaColumns(flat)
-		mergedVals, mergedCodes := native.MergeSorted(j.vals, j.codes, keys, vals, del)
-		// Stamped into the owning shard's ring from this goroutine — the
-		// ring's mutex exists exactly for this cross-goroutine writer.
-		j.sh.ring.Record(obs.SpanMergeDone, j.sh.id, j.seq, len(flat), int64(len(mergedVals)))
-		// Reverse to newest-first: the order a pinned reader replays them.
-		absorbed := make([][]writeEntry, len(j.gens))
-		for i, g := range j.gens {
-			absorbed[len(j.gens)-1-i] = g
+	for sh := range em.jobs {
+		// Clear the queued mark before claiming, so a job the shard parks
+		// after this claim sends a fresh entry instead of being stranded.
+		sh.jobQueued.Store(false)
+		if j := sh.job.Swap(nil); j != nil {
+			// Park the result; the shard installs it between batches. A
+			// shard never has two rebuilds in flight, so the slot cannot
+			// clobber an unconsumed install.
+			sh.pendingInstall.Store(sh.merge(j))
 		}
-		// Park the result; the shard installs it between batches. A shard
-		// never has two rebuilds in flight, so the slot cannot clobber an
-		// unconsumed install.
-		j.sh.pendingInstall.Store(&installMsg{
-			seq: j.seq, vals: mergedVals, codes: mergedCodes,
-			flat: flat, absorbed: absorbed, upTo: upTo,
-		})
+	}
+}
+
+// merge runs one rebuild job: bulk-merge the flattened generations into
+// the job's snapshot column (pure host CPU, no shared mutable state).
+// Called by the epoch manager, or by the shard goroutine when it takes
+// its own job back (relieveBacklog).
+func (sh *shard) merge(j *rebuildJob) *installMsg {
+	flat, upTo := flattenGens(j.gens)
+	keys, vals, del := deltaColumns(flat)
+	mergedVals, mergedCodes := native.MergeSorted(j.vals, j.codes, keys, vals, del)
+	// The ring's mutex exists exactly for this cross-goroutine writer.
+	sh.ring.Record(obs.SpanMergeDone, sh.id, j.seq, len(flat), int64(len(mergedVals)))
+	// Reverse to newest-first: the order a pinned reader replays them.
+	absorbed := make([][]writeEntry, len(j.gens))
+	for i, g := range j.gens {
+		absorbed[len(j.gens)-1-i] = g
+	}
+	return &installMsg{
+		seq: j.seq, vals: mergedVals, codes: mergedCodes,
+		flat: flat, absorbed: absorbed, upTo: upTo,
 	}
 }
 
@@ -164,8 +181,8 @@ func (em *epochManager) close() {
 // generation when the delta has reached the threshold. Never parks: if a
 // merge is already in flight the generation queues behind it (a landed
 // install is folded in first so the pipeline keeps draining mid-segment),
-// and only a backlog beyond maxGenBacklog is recorded — as a degraded-
-// mode WriteStalls tick, not a wait. Shard goroutine only.
+// and a queue past genQueueDepth is relieved on the spot. Shard
+// goroutine only.
 func (sh *shard) maybeRebuild() {
 	if sh.rebuildAt <= 0 || len(sh.delta) < sh.rebuildAt {
 		return
@@ -184,15 +201,34 @@ func (sh *shard) maybeRebuild() {
 	}
 	sh.delta = uncommitted
 	sh.gens = append(sh.gens, committed) //isi:allow-alloc(generation freeze: one header per rebuild threshold crossing, not per write)
+	if sh.merging > 0 && len(sh.gens)-sh.merging > genQueueDepth {
+		sh.relieveBacklog()
+	}
 	sh.met.setGenDepth(len(sh.gens))
 	if sh.merging > 0 && len(sh.gens) > maxGenBacklog {
 		sh.met.recordWriteStall()
 		sh.ring.Record(obs.SpanStallPark, sh.id, 0, len(sh.gens), 0)
 	}
-	if sh.merging > 0 && len(sh.gens) > genDonateDepth {
-		runtime.Gosched()
-	}
 	sh.startMerge()
+}
+
+// relieveBacklog bounds the generation queue without waiting for the
+// epoch manager: the writer runs the pending merge step itself. If the
+// manager has not claimed the in-flight job yet, the shard takes it back,
+// merges here and installs (which hands the queued generations to a
+// fresh job); if the merge is already running, the shard folds the
+// queued generations into one. Either way no write waits and the next
+// install never hinges on the manager being scheduled. Shard goroutine
+// only.
+func (sh *shard) relieveBacklog() {
+	if j := sh.job.Swap(nil); j != nil {
+		sh.install(sh.merge(j))
+		return
+	}
+	queued := sh.gens[sh.merging:]
+	queued[0] = foldGens(queued)
+	clear(queued[1:])
+	sh.gens = sh.gens[:sh.merging+1]
 }
 
 // startMerge hands every queued generation to the epoch manager as one
@@ -210,29 +246,34 @@ func (sh *shard) startMerge() {
 		n += len(g)
 	}
 	sh.ring.Record(obs.SpanMergeStart, sh.id, ep.seq+1, n, int64(len(gens)))
-	sh.em.jobs <- rebuildJob{sh: sh, seq: ep.seq + 1, vals: ep.vals, codes: ep.codes, gens: gens}
+	sh.job.Store(&rebuildJob{seq: ep.seq + 1, vals: ep.vals, codes: ep.codes, gens: gens})
+	if sh.jobQueued.CompareAndSwap(false, true) {
+		sh.em.jobs <- sh
+	}
 	// Donate the rest of the timeslice to the freshly-woken epoch
 	// manager. Channel direct-handoff keeps a tight synchronous write
-	// loop (submitter ↔ shard) on the processor indefinitely on a small
-	// GOMAXPROCS box, and with parking gone nothing else ever blocks this
-	// goroutine — without the yield the manager can sit runnable for a
-	// full preemption quantum per job while generations pile up. Yielding
-	// only on job handoff (not on every freeze) keeps the donation off
-	// the refill path while a long merge is already running.
+	// loop (submitter ↔ shard) on the processor on a small GOMAXPROCS
+	// box, and nothing else ever blocks this goroutine. The yield only
+	// makes the manager prompt; the backlog bound does not rely on it
+	// (relieveBacklog).
 	runtime.Gosched()
 }
 
-// installPending publishes a completed rebuild, if one is parked:
-// construct the backend index over the merged column (the rebuild pause
-// — the only index work that runs on the serving goroutine), swap the
-// epoch pointer, retire the absorbed generations, append the new epoch
-// to the retained ring, and reclaim past epochs no pin still needs.
-// Shard goroutine only, between batches.
+// installPending publishes a completed rebuild, if one is parked. Shard
+// goroutine only, between batches.
 func (sh *shard) installPending() {
-	im := sh.pendingInstall.Swap(nil)
-	if im == nil {
-		return
+	if im := sh.pendingInstall.Swap(nil); im != nil {
+		sh.install(im)
 	}
+}
+
+// install publishes a completed rebuild: construct the backend index
+// over the merged column (the rebuild pause — the only index work that
+// runs on the serving goroutine), swap the epoch pointer, retire the
+// absorbed generations, append the new epoch to the retained ring,
+// reclaim past epochs no pin still needs, and start the next merge over
+// whatever queued meanwhile. Shard goroutine only.
+func (sh *shard) install(im *installMsg) {
 	pause := sh.met.beginRebuild()
 	old := sh.epoch.Load()
 	ep := &epochState{

@@ -34,8 +34,8 @@ type shard struct {
 	ctl   *controller
 	met   *shardMetrics
 
-	// Write state (shard goroutine only, except the pendingInstall slot
-	// the epoch manager fills).
+	// Write state (shard goroutine only, except the job/pendingInstall
+	// slots it shares with the epoch manager).
 	delta     []writeEntry   // live sorted write buffer
 	gens      [][]writeEntry // frozen generations queued for merge, oldest→newest
 	merging   int            // generations covered by the in-flight merge; 0 = idle
@@ -46,6 +46,11 @@ type shard struct {
 	// readers drain on this goroutine too, so no locking.
 	retained       []*epochState
 	pendingInstall atomic.Pointer[installMsg]
+	// job is the in-flight rebuild until the epoch manager (or the shard,
+	// relieving a backlog) claims it; jobQueued marks the shard as sent
+	// on the manager's channel and not yet received.
+	job       atomic.Pointer[rebuildJob]
+	jobQueued atomic.Bool
 	// hz/pins alias the service's commit horizon and snapshot pin set.
 	hz   *atomic.Uint64
 	pins *pinSet
