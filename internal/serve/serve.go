@@ -67,7 +67,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/nativejoin"
 	"repro/internal/obs"
 )
 
@@ -510,6 +509,17 @@ func shardOf(key uint64, shards int) int {
 // sorted; duplicates are discarded. The global code of a value is its
 // position in the sorted, deduplicated domain. Options compose over
 // DefaultConfig; WithBuild adds a build side and enables OpJoin.
+//
+// New reads values and the WithBuild slice only during the call: every
+// shard gets its own copy of its partition, so the caller may reuse or
+// mutate both once New returns. A strictly increasing values slice is
+// partitioned as it is; any other is first copied, sorted and
+// deduplicated. Construction runs concurrently, one goroutine per shard
+// (construct.go): the domain and the build side are split by key hash
+// in two linear passes, and each shard resolves its build keys against
+// its own partition with the interleaved search. Every construction
+// goroutine has exited by the time New returns, with or without an
+// error.
 func New(values []uint64, opts ...Option) (*Service, error) {
 	o := options{cfg: DefaultConfig()}
 	for _, opt := range opts {
@@ -519,9 +529,12 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 	if o.hasBuild && cfg.Kind != NativeSorted {
 		return nil, fmt.Errorf("serve: join execution requires the %s backend (got %s)", NativeSorted, cfg.Kind)
 	}
-	sorted := append([]uint64(nil), values...)
-	slices.Sort(sorted)
-	sorted = slices.Compact(sorted)
+	sorted := values
+	if !strictlyIncreasing(values) {
+		sorted = slices.Clone(values)
+		slices.Sort(sorted)
+		sorted = slices.Compact(sorted)
+	}
 	n := len(sorted)
 	// Codes are uint32 with NotFound as sentinel: the domain must leave
 	// every code below the sentinel.
@@ -532,50 +545,32 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 		return nil, fmt.Errorf("serve: %s backend requires values < 2^32 (got %d)", cfg.Kind, sorted[n-1])
 	}
 
-	// Partition the sorted domain: local arrays stay sorted because the
-	// global order is preserved per shard.
-	locVals := make([][]uint64, cfg.Shards)
-	locCodes := make([][]uint32, cfg.Shards)
-	for code, v := range sorted {
-		i := shardOf(v, cfg.Shards)
-		locVals[i] = append(locVals[i], v)
-		locCodes[i] = append(locCodes[i], uint32(code))
-	}
-
-	// Partition the build side by the same key hash, resolving each
-	// tuple's key to its global code (a tuple's key and its dictionary
-	// entry land on the same shard, so the dictionary→probe pipeline
-	// never crosses shards). Keys outside the domain are dropped.
-	var joinTabs []*nativejoin.Table
-	if o.hasBuild {
-		// Resolve each tuple's key to (shard, code) once; the second pass
-		// inserts from the resolved slice so large build sides pay one
-		// binary search per tuple, not two.
-		type resolved struct {
-			shard   int
-			code    uint32
-			payload uint32
+	// Partition the domain and the build side by key hash, so a build
+	// tuple's key and its dictionary entry land on the same shard and the
+	// dictionary→probe pipeline never crosses shards; then build every
+	// shard's index on its own goroutine. Keys outside the domain are
+	// dropped from the build side.
+	parts := partition(sorted, o.build, cfg.Shards)
+	eps := make([]*epochState, cfg.Shards)
+	errs := make([]error, cfg.Shards)
+	eachShard(cfg.Shards, func(i int) {
+		p := &parts[i]
+		ep := &epochState{vals: p.vals, codes: p.codes}
+		if o.hasBuild {
+			ep.joinIdx = newNativeJoinIndex(cfg, p.vals, p.codes, p.joinTable())
+		} else {
+			ep.idx, errs[i] = newShardIndex(cfg, i, p.vals, p.codes)
 		}
-		res := make([]resolved, 0, len(o.build))
-		counts := make([]int, cfg.Shards)
-		for _, t := range o.build {
-			if code, ok := slices.BinarySearch(sorted, t.Key); ok {
-				sh := shardOf(t.Key, cfg.Shards)
-				res = append(res, resolved{shard: sh, code: uint32(code), payload: t.Payload})
-				counts[sh]++
-			}
-		}
-		joinTabs = make([]*nativejoin.Table, cfg.Shards)
-		for i := range joinTabs {
-			joinTabs[i] = nativejoin.New(counts[i])
-		}
-		for _, r := range res {
-			joinTabs[r.shard].Insert(uint64(r.code), r.payload)
+		eps[i] = ep
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 
-	// Construct every shard's index before starting any goroutine, so a
-	// backend construction error returns without leaking the epoch
+	// Every shard's index exists before any serving goroutine starts, so
+	// a backend construction error returns without leaking the epoch
 	// manager or half a shard fleet.
 	s := &Service{cfg: cfg, hasBuild: o.hasBuild, snapReads: o.snapReads, obsv: o.obsv}
 	s.pins.init()
@@ -597,16 +592,7 @@ func New(values []uint64, opts ...Option) (*Service, error) {
 		if o.obsv != nil {
 			sh.attachObserver(o.obsv, cfg.Kind.String())
 		}
-		ep := &epochState{vals: locVals[i], codes: locCodes[i]}
-		if joinTabs != nil {
-			ep.joinIdx = newNativeJoinIndex(cfg, locVals[i], locCodes[i], joinTabs[i])
-		} else {
-			idx, err := newShardIndex(cfg, i, locVals[i], locCodes[i])
-			if err != nil {
-				return nil, err
-			}
-			ep.idx = idx
-		}
+		ep := eps[i]
 		sh.epoch.Store(ep)
 		sh.retained = []*epochState{ep}
 		sh.met.setRetained(1)
